@@ -9,15 +9,17 @@
 //!
 //! `--out` writes the results as JSON (default `BENCH_bloom_scaling.json`
 //! when given without a value). `--check` exits nonzero when any
-//! optimized run's output diverges from the naive oracle, or when the
+//! optimized run's output diverges from the naive oracle, when the
 //! engine's own counters show semi-naive re-deriving on the recursive
-//! workload — both machine-independent gates. With an explicit `FLOOR`
+//! workload, or when a click-only tick of the streaming ad-report
+//! workload probes more than 1.25x as much at a 4x larger log — all
+//! machine-independent gates. With an explicit `FLOOR`
 //! it additionally requires the naive/semi-naive wall-clock ratio on
 //! transitive closure at the largest scale to reach `FLOOR`x; wall time
 //! here is algorithmic (not parallel) speedup, so the floor holds on any
 //! machine, but CI smoke runs keep to the counter gates.
 
-use blazes_bench::bloom_scaling::{run_bloom_scaling, BloomScalingConfig};
+use blazes_bench::bloom_scaling::{run_bloom_scaling, BloomScalingConfig, FLAT_PROBE_RATIO};
 
 fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
     args.iter()
@@ -80,6 +82,17 @@ fn main() {
             println!("# counter gate passed: semi-naive derivations <= naive on every tc point");
         } else {
             eprintln!("FAIL: semi-naive derivation counters exceed naive on transitive closure");
+            failed = true;
+        }
+        if report.click_ticks_stay_flat() {
+            println!(
+                "# flat-probe gate passed: click-only ticks <= {FLAT_PROBE_RATIO}x probes at a 4x log"
+            );
+        } else {
+            eprintln!(
+                "FAIL: click-only ticks on adreport-stream probe more than {FLAT_PROBE_RATIO}x \
+                 as much at a 4x larger log"
+            );
             failed = true;
         }
         if let Some(floor) = floor {

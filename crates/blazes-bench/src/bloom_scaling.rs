@@ -13,14 +13,21 @@
 //! * **adreport** — the paper's ad-report query (aggregation + join
 //!   across strata): bounded fixpoints, measuring that the optimized
 //!   engine does not regress the common non-recursive case.
+//! * **adreport-stream** — the same module under a Report replica's real
+//!   load: 25-click ticks with a request tick every
+//!   [`STREAM_REQUEST_EVERY`] ticks, at log sizes 4x apart. A click-only
+//!   tick has no request to read the standing `group by` view, so the
+//!   optimized engines skip it and the tick's probe count must stay flat
+//!   while the log grows ([`BloomScalingReport::click_ticks_stay_flat`]).
 //!
 //! Every point records wall time **and** the engine's own work counters
 //! ([`blazes_bloom::interp::TickStats`]); each optimized run is digest-
-//! checked against the naive oracle's output. Results render as
-//! `BENCH_bloom_scaling.json` and gate CI on the *counters* (semi-naive
-//! derivations must not exceed naive's on the recursive workload), which
-//! are machine-independent, plus an optional wall-clock speedup floor
-//! for recorded runs.
+//! checked against the naive oracle's output on every tick. Results render
+//! as `BENCH_bloom_scaling.json` and gate CI on the *counters* (semi-naive
+//! derivations must not exceed naive's on the recursive workload, and
+//! click-only ticks must cost the same at every log size), which are
+//! machine-independent, plus an optional wall-clock speedup floor for
+//! recorded runs.
 
 use blazes_bloom::interp::{EvalMode, ModuleInstance, TickOutput, TickStats};
 use blazes_bloom::parse_module;
@@ -71,6 +78,19 @@ module Report {
 }
 "#;
 
+/// Ticks per request in the streaming ad-report workload.
+pub const STREAM_REQUEST_EVERY: usize = 10;
+
+/// Clicks per tick in the streaming ad-report workload.
+const STREAM_CLICKS_PER_TICK: usize = 25;
+
+/// Click-only ticks at the end of a stream whose probes are averaged.
+const STREAM_WINDOW: usize = 8;
+
+/// A click-only tick may cost at most this much more at the largest log
+/// size than at the smallest.
+pub const FLAT_PROBE_RATIO: f64 = 1.25;
+
 /// Configuration of one engine sweep.
 #[derive(Debug, Clone)]
 pub struct BloomScalingConfig {
@@ -80,6 +100,9 @@ pub struct BloomScalingConfig {
     pub triangle_scales: Vec<usize>,
     /// Click counts for the ad-report workload.
     pub adreport_scales: Vec<usize>,
+    /// Total clicks (= final log size) for the streaming ad-report
+    /// workload; the flat-probe gate compares the smallest and largest.
+    pub stream_scales: Vec<usize>,
     /// Worker counts for the sharded mode.
     pub sharded_workers: Vec<usize>,
     /// Timed repetitions per point (best-of).
@@ -92,6 +115,7 @@ impl Default for BloomScalingConfig {
             tc_scales: vec![32, 64, 128],
             triangle_scales: vec![50, 100, 200],
             adreport_scales: vec![500, 1_000, 2_000],
+            stream_scales: vec![2_000, 8_000],
             sharded_workers: vec![1, 2, 4],
             reps: 2,
         }
@@ -108,6 +132,7 @@ impl BloomScalingConfig {
             tc_scales: vec![24, 48],
             triangle_scales: vec![40],
             adreport_scales: vec![300],
+            stream_scales: vec![1_000, 4_000],
             sharded_workers: vec![1, 2],
             reps: 1,
         }
@@ -117,7 +142,7 @@ impl BloomScalingConfig {
 /// One measured point of the sweep.
 #[derive(Debug, Clone)]
 pub struct BloomPoint {
-    /// `"tc"`, `"triangle"` or `"adreport"`.
+    /// `"tc"`, `"triangle"`, `"adreport"` or `"adreport-stream"`.
     pub workload: &'static str,
     /// Cores the machine that measured this point reported. Stamped into
     /// every record so mixed-provenance files stay self-describing even
@@ -125,12 +150,18 @@ pub struct BloomPoint {
     pub cores: usize,
     /// Workload scale (chain length, vertices, or clicks).
     pub scale: usize,
+    /// Ticks the workload runs.
+    pub ticks: usize,
     /// `"naive"`, `"semi-naive"` or `"sharded-N"`.
     pub mode: String,
     /// Best wall-clock milliseconds over the configured repetitions.
     pub millis: f64,
-    /// Engine work counters of the best repetition.
+    /// Engine work counters of the best repetition, summed over its
+    /// ticks.
     pub stats: TickStats,
+    /// Streaming workload only: mean join probes of the last click-only
+    /// ticks, when the log is at its largest.
+    pub click_tick_probes: Option<f64>,
     /// Did every repetition produce the naive oracle's exact output?
     pub correct: bool,
 }
@@ -209,6 +240,31 @@ impl BloomScalingReport {
             })
     }
 
+    /// The delta-proportional claim: on the streaming ad-report workload,
+    /// every optimized mode's click-only ticks probe at most
+    /// [`FLAT_PROBE_RATIO`]x as much at the largest log size as at the
+    /// smallest, and the sizes are at least 4x apart.
+    #[must_use]
+    pub fn click_ticks_stay_flat(&self) -> bool {
+        let stream: Vec<&BloomPoint> = self
+            .points
+            .iter()
+            .filter(|p| p.workload == "adreport-stream" && p.mode != "naive")
+            .collect();
+        let (Some(lo), Some(hi)) = (
+            stream.iter().map(|p| p.scale).min(),
+            stream.iter().map(|p| p.scale).max(),
+        ) else {
+            return false;
+        };
+        let probes = |p: &BloomPoint| p.click_tick_probes.unwrap_or(f64::INFINITY);
+        hi >= 4 * lo
+            && stream.iter().filter(|p| p.scale == hi).all(|big| {
+                self.point("adreport-stream", lo, &big.mode)
+                    .is_some_and(|small| probes(big) <= FLAT_PROBE_RATIO * probes(small))
+            })
+    }
+
     /// Render as pretty-printed JSON (hand-rolled; the vendored serde
     /// shim has no serializer).
     #[must_use]
@@ -228,6 +284,11 @@ impl BloomScalingReport {
             "  \"counters_confirm_no_rederivation\": {},",
             self.counters_confirm_no_rederivation()
         );
+        let _ = writeln!(
+            s,
+            "  \"click_ticks_stay_flat\": {},",
+            self.click_ticks_stay_flat()
+        );
         let _ = writeln!(s, "  \"all_correct\": {},", self.all_correct());
         let _ = writeln!(s, "  \"notes\": [");
         for (i, note) in self.notes.iter().enumerate() {
@@ -239,19 +300,24 @@ impl BloomScalingReport {
         let _ = writeln!(s, "  \"points\": [");
         for (i, p) in self.points.iter().enumerate() {
             let comma = if i + 1 == self.points.len() { "" } else { "," };
+            let click = p.click_tick_probes.map_or(String::new(), |c| {
+                format!("\"click_tick_probes\": {c:.1}, ")
+            });
             let _ = writeln!(
                 s,
-                "    {{\"workload\": \"{}\", \"cores\": {}, \"scale\": {}, \"mode\": \"{}\", \
-                 \"millis\": {:.3}, \"derivations\": {}, \"join_probes\": {}, \
-                 \"fixpoint_iters\": {}, \"correct\": {}}}{comma}",
+                "    {{\"workload\": \"{}\", \"cores\": {}, \"scale\": {}, \"ticks\": {}, \
+                 \"mode\": \"{}\", \"millis\": {:.3}, \"derivations\": {}, \"join_probes\": {}, \
+                 \"fixpoint_iters\": {}, \"rules_skipped\": {}, {click}\"correct\": {}}}{comma}",
                 p.workload,
                 p.cores,
                 p.scale,
+                p.ticks,
                 p.mode,
                 p.millis,
                 p.stats.derivations,
                 p.stats.join_probes,
                 p.stats.fixpoint_iters,
+                p.stats.rules_skipped,
                 p.correct
             );
         }
@@ -271,12 +337,13 @@ impl BloomScalingReport {
         );
         let _ = writeln!(
             s,
-            "# workload  scale   mode         ms      derivations   join-probes  iters"
+            "# workload         scale   mode         ms      derivations   join-probes  iters  \
+             skipped  probes/click-tick"
         );
         for p in &self.points {
             let _ = writeln!(
                 s,
-                "{:9} {:6} {:11} {:9.2} {:13} {:13} {:6}{}",
+                "{:16} {:6} {:11} {:9.2} {:13} {:13} {:6} {:8} {:>8}{}",
                 p.workload,
                 p.scale,
                 p.mode,
@@ -284,6 +351,9 @@ impl BloomScalingReport {
                 p.stats.derivations,
                 p.stats.join_probes,
                 p.stats.fixpoint_iters,
+                p.stats.rules_skipped,
+                p.click_tick_probes
+                    .map_or("-".to_string(), |c| format!("{c:.1}")),
                 if p.correct { "" } else { "  DIGEST MISMATCH" },
             );
         }
@@ -291,12 +361,12 @@ impl BloomScalingReport {
     }
 }
 
-/// A workload instance: module text plus the single tick of inputs.
+/// A workload instance: module text plus the inputs of each tick.
 struct Workload {
     name: &'static str,
     scale: usize,
     module: &'static str,
-    inputs: BTreeMap<String, Vec<Tuple>>,
+    ticks: Vec<BTreeMap<String, Vec<Tuple>>>,
 }
 
 fn pair(a: i64, b: i64) -> Tuple {
@@ -309,7 +379,7 @@ fn tc_workload(n: usize) -> Workload {
         name: "tc",
         scale: n,
         module: TC_MODULE,
-        inputs: BTreeMap::from([("edge".to_string(), edges)]),
+        ticks: vec![BTreeMap::from([("edge".to_string(), edges)])],
     }
 }
 
@@ -321,7 +391,7 @@ fn triangle_workload(v: usize) -> Workload {
         name: "triangle",
         scale: v,
         module: TRIANGLE_MODULE,
-        inputs: BTreeMap::from([("edge".to_string(), edges)]),
+        ticks: vec![BTreeMap::from([("edge".to_string(), edges)])],
     }
 }
 
@@ -337,10 +407,38 @@ fn adreport_workload(clicks: usize) -> Workload {
         name: "adreport",
         scale: clicks,
         module: ADREPORT_MODULE,
-        inputs: BTreeMap::from([
+        ticks: vec![BTreeMap::from([
             ("click".to_string(), click_tuples),
             ("request".to_string(), requests),
-        ]),
+        ])],
+    }
+}
+
+/// `clicks` distinct clicks over `clicks / 8` ad ids, 25 per tick, with a
+/// request tick for two ids after every `STREAM_REQUEST_EVERY - 1` click
+/// ticks. The log ends `clicks` rows long.
+fn adreport_stream_workload(clicks: usize) -> Workload {
+    let ids = (clicks / 8).max(1) as i64;
+    let mut ticks = Vec::new();
+    for (n, chunk) in (0..clicks as i64)
+        .collect::<Vec<_>>()
+        .chunks(STREAM_CLICKS_PER_TICK)
+        .enumerate()
+    {
+        let batch = chunk.iter().map(|&i| pair(i % ids, i)).collect();
+        ticks.push(BTreeMap::from([("click".to_string(), batch)]));
+        if (n + 1).is_multiple_of(STREAM_REQUEST_EVERY - 1) {
+            let asked = [n as i64 % ids, (n as i64 * 7 + 3) % ids]
+                .map(|id| Tuple(vec![Value::Int(id)]))
+                .to_vec();
+            ticks.push(BTreeMap::from([("request".to_string(), asked)]));
+        }
+    }
+    Workload {
+        name: "adreport-stream",
+        scale: clicks,
+        module: ADREPORT_MODULE,
+        ticks,
     }
 }
 
@@ -352,44 +450,70 @@ fn mode_label(mode: EvalMode) -> String {
     }
 }
 
-fn run_once(w: &Workload, mode: EvalMode) -> (TickOutput, TickStats) {
+/// One run of a workload: every tick's output, the counters summed over
+/// its ticks, and the mean probes of the last click-only ticks.
+struct Run {
+    outputs: Vec<TickOutput>,
+    stats: TickStats,
+    click_tick_probes: f64,
+}
+
+fn run_once(w: &Workload, mode: EvalMode) -> Run {
     let m = parse_module(w.module).expect("bench module must parse");
     let mut inst = ModuleInstance::with_mode(m, mode).expect("bench module must stratify");
-    let out = inst
-        .tick(w.inputs.clone())
-        .expect("bench tick must succeed");
-    (out, inst.last_tick_stats())
+    let mut click_probes = Vec::new();
+    let outputs = w
+        .ticks
+        .iter()
+        .map(|inputs| {
+            let out = inst.tick(inputs.clone()).expect("bench tick must succeed");
+            if !inputs.contains_key("request") {
+                click_probes.push(inst.last_tick_stats().join_probes);
+            }
+            out
+        })
+        .collect();
+    let window = &click_probes[click_probes.len().saturating_sub(STREAM_WINDOW)..];
+    Run {
+        outputs,
+        stats: inst.cumulative_stats(),
+        click_tick_probes: window.iter().sum::<u64>() as f64 / window.len().max(1) as f64,
+    }
 }
 
 /// Time one point: best-of-`reps` wall clock, counters from the best
-/// repetition, output compared against the oracle on every repetition.
+/// repetition, every tick's output compared against the oracle on every
+/// repetition.
 fn timed_point(
     w: &Workload,
     mode: EvalMode,
-    expected: &TickOutput,
+    expected: &[TickOutput],
     reps: u32,
     cores: usize,
 ) -> BloomPoint {
     let mut best = f64::INFINITY;
-    let mut stats = TickStats::default();
+    let mut best_run = None;
     let mut correct = true;
     for _ in 0..reps.max(1) {
         let started = Instant::now();
-        let (out, s) = run_once(w, mode);
+        let run = run_once(w, mode);
         let elapsed = started.elapsed().as_secs_f64() * 1e3;
+        correct &= run.outputs == expected;
         if elapsed < best {
             best = elapsed;
-            stats = s;
+            best_run = Some(run);
         }
-        correct &= out == *expected;
     }
+    let run = best_run.expect("at least one repetition");
     BloomPoint {
         workload: w.name,
         cores,
         scale: w.scale,
+        ticks: w.ticks.len(),
         mode: mode_label(mode),
         millis: best,
-        stats,
+        stats: run.stats,
+        click_tick_probes: (w.name == "adreport-stream").then_some(run.click_tick_probes),
         correct,
     }
 }
@@ -403,11 +527,16 @@ pub fn run_bloom_scaling(cfg: &BloomScalingConfig) -> BloomScalingReport {
     workloads.extend(cfg.tc_scales.iter().map(|&n| tc_workload(n)));
     workloads.extend(cfg.triangle_scales.iter().map(|&v| triangle_workload(v)));
     workloads.extend(cfg.adreport_scales.iter().map(|&c| adreport_workload(c)));
+    workloads.extend(
+        cfg.stream_scales
+            .iter()
+            .map(|&c| adreport_stream_workload(c)),
+    );
 
     let mut points = Vec::new();
     for w in &workloads {
         // The naive run is both a measured point and the oracle digest.
-        let (expected, _) = run_once(w, EvalMode::Naive);
+        let expected = run_once(w, EvalMode::Naive).outputs;
         points.push(timed_point(w, EvalMode::Naive, &expected, cfg.reps, cores));
         points.push(timed_point(
             w,
@@ -440,6 +569,11 @@ pub fn run_bloom_scaling(cfg: &BloomScalingConfig) -> BloomScalingReport {
             "derivation/probe counters come from the engine itself and are \
              machine-independent; CI gates on those rather than wall clock"
                 .to_string(),
+            "adreport-stream: optimized modes skip the standing group-by view on \
+             click-only ticks (no request can read it), so click_tick_probes stays \
+             at the 25 clicks scanned whatever the log size; naive evaluates every \
+             rule and scans the whole log"
+                .to_string(),
         ],
     }
 }
@@ -452,8 +586,10 @@ mod tests {
     fn smoke_sweep_produces_a_complete_gated_report() {
         let cfg = BloomScalingConfig::smoke();
         let report = run_bloom_scaling(&cfg);
-        let workload_count =
-            cfg.tc_scales.len() + cfg.triangle_scales.len() + cfg.adreport_scales.len();
+        let workload_count = cfg.tc_scales.len()
+            + cfg.triangle_scales.len()
+            + cfg.adreport_scales.len()
+            + cfg.stream_scales.len();
         let modes = 2 + cfg.sharded_workers.len();
         assert_eq!(report.points.len(), workload_count * modes);
         assert!(report.all_correct(), "an optimized engine diverged");
@@ -476,6 +612,9 @@ mod tests {
         assert!(json.contains("\"workload\": \"triangle\""));
         assert!(json.contains("\"workload\": \"adreport\""));
         assert!(json.contains("\"counters_confirm_no_rederivation\": true"));
+        assert!(report.click_ticks_stay_flat(), "click-only ticks grew");
+        assert!(json.contains("\"click_ticks_stay_flat\": true"));
+        assert!(json.contains("\"workload\": \"adreport-stream\""));
         let table = report.render_table();
         assert!(table.contains("semi-naive"));
         assert!(table.contains("sharded-2"));
@@ -487,6 +626,7 @@ mod tests {
             tc_scales: vec![48],
             triangle_scales: vec![],
             adreport_scales: vec![],
+            stream_scales: vec![],
             sharded_workers: vec![],
             reps: 1,
         });
@@ -494,5 +634,28 @@ mod tests {
         let semi = report.point("tc", 48, "semi-naive").unwrap();
         assert!(semi.stats.derivations * 2 < naive.stats.derivations);
         assert!(semi.stats.join_probes * 10 < naive.stats.join_probes);
+    }
+
+    #[test]
+    fn click_only_ticks_cost_the_clicks_not_the_log() {
+        let report = run_bloom_scaling(&BloomScalingConfig {
+            tc_scales: vec![],
+            triangle_scales: vec![],
+            adreport_scales: vec![],
+            stream_scales: vec![400, 1_600],
+            sharded_workers: vec![2],
+            reps: 1,
+        });
+        assert!(report.all_correct());
+        assert!(report.click_ticks_stay_flat());
+        let probes = |scale, mode| {
+            report
+                .point("adreport-stream", scale, mode)
+                .and_then(|p| p.click_tick_probes)
+                .unwrap()
+        };
+        assert_eq!(probes(1_600, "semi-naive"), STREAM_CLICKS_PER_TICK as f64);
+        // The oracle scans the whole log on every tick.
+        assert!(probes(1_600, "naive") > 3.0 * probes(400, "naive"));
     }
 }

@@ -173,12 +173,15 @@ pub fn stratify(m: &Module) -> Result<BTreeMap<String, usize>> {
 
 /// A precomputed evaluation schedule derived from the catalog: the stratum
 /// assignment, the instantaneous rules grouped per stratum (program order
-/// preserved within a stratum), and the per-rule **read-set** — exactly the
-/// collections each rule's body scans.
+/// preserved within a stratum), and every rule's head and **read-set** —
+/// exactly the collections its body scans — as positions in
+/// `module.collections`, so the interpreter never compares names per tick.
 ///
 /// The interpreter's semi-naive loop consults read-sets to skip rules none
 /// of whose sources gained tuples in the previous fixpoint iteration, so
-/// an unaffected rule costs a set lookup instead of a re-derivation.
+/// an unaffected rule costs a set lookup instead of a re-derivation. Its
+/// per-tick demand pass uses heads, read-sets and `observed` to skip rules
+/// that cannot derive anything or whose result nobody reads.
 #[derive(Debug, Clone)]
 pub struct Schedule {
     /// Stratum of every collection.
@@ -188,8 +191,16 @@ pub struct Schedule {
     /// Indices into `module.rules` of the instantaneous rules evaluated in
     /// each stratum (outer index = stratum).
     pub instant_by_stratum: Vec<Vec<usize>>,
-    /// Read-set of every rule, index-aligned with `module.rules`.
-    pub reads: Vec<Vec<String>>,
+    /// Head collection of every rule, index-aligned with `module.rules`.
+    pub heads: Vec<usize>,
+    /// Read-set of every rule, in body order (`left, right` of a join,
+    /// `source, negated` of an antijoin).
+    pub sources: Vec<Vec<usize>>,
+    /// Is each rule's effect observable whoever reads its head? True for
+    /// deferred, deletion and async rules, for heads that are tables or
+    /// outputs, and for `sum` aggregates, which can reject a row at run
+    /// time: skipping must not hide an error the naive oracle would raise.
+    pub observed: Vec<bool>,
 }
 
 /// Build the evaluation [`Schedule`] for a module (validates
@@ -197,22 +208,51 @@ pub struct Schedule {
 pub fn schedule(m: &Module) -> Result<Schedule> {
     let strata = stratify(m)?;
     let max_stratum = strata.values().copied().max().unwrap_or(0);
+    let index = |name: &str| {
+        m.collections
+            .iter()
+            .position(|c| c.name == name)
+            .ok_or_else(|| BloomError::Eval(format!("collection {name:?} is not declared")))
+    };
     let mut instant_by_stratum = vec![Vec::new(); max_stratum + 1];
-    let mut reads = Vec::with_capacity(m.rules.len());
+    let n = m.rules.len();
+    let (mut heads, mut sources) = (Vec::with_capacity(n), Vec::with_capacity(n));
+    let mut observed = Vec::with_capacity(n);
     for (i, r) in m.rules.iter().enumerate() {
+        let head = index(&r.head)?;
         if r.op == MergeOp::Instant {
-            let s = *strata.get(&r.head).ok_or_else(|| {
-                BloomError::Eval(format!("rule head {:?} is not declared", r.head))
-            })?;
-            instant_by_stratum[s].push(i);
+            instant_by_stratum[strata[&r.head]].push(i);
         }
-        reads.push(r.body.sources().into_iter().map(str::to_string).collect());
+        heads.push(head);
+        sources.push(
+            r.body
+                .sources()
+                .into_iter()
+                .map(index)
+                .collect::<Result<Vec<_>>>()?,
+        );
+        observed.push(
+            r.op != MergeOp::Instant
+                || matches!(
+                    m.collections[head].kind,
+                    CollectionKind::Table | CollectionKind::Output
+                )
+                || matches!(
+                    r.body,
+                    RuleBody::GroupBy {
+                        agg: AggFun::Sum,
+                        ..
+                    }
+                ),
+        );
     }
     Ok(Schedule {
         strata,
         max_stratum,
         instant_by_stratum,
-        reads,
+        heads,
+        sources,
+        observed,
     })
 }
 
@@ -362,12 +402,25 @@ module Report {
         // response rule never joins the fixpoint.
         assert_eq!(sched.instant_by_stratum[0], vec![0]);
         assert_eq!(sched.instant_by_stratum[1], vec![1]);
-        assert_eq!(sched.reads[0], vec!["click".to_string()]);
-        assert_eq!(sched.reads[1], vec!["log".to_string()]);
-        assert_eq!(
-            sched.reads[2],
-            vec!["poor".to_string(), "request".to_string()]
-        );
+        // Collections in declaration order: click 0, request 1, response
+        // 2, log 3, poor 4.
+        assert_eq!(sched.heads, vec![3, 4, 2]);
+        assert_eq!(sched.sources, vec![vec![0], vec![3], vec![4, 1]]);
+        // The log write and the async response are observed; the `poor`
+        // view only matters while something reads it.
+        assert_eq!(sched.observed, vec![true, false, true]);
+    }
+
+    #[test]
+    fn antijoin_reads_both_sides_and_sum_is_observed() {
+        let m = parse_module(
+            "module M { input a(x) input b(x) scratch s(x) scratch t(x, n) \
+             s <= a not in b on (a.x = b.x) t <= a group by (a.x) agg sum(a.x) as n }",
+        )
+        .unwrap();
+        let sched = schedule(&m).unwrap();
+        assert_eq!(sched.sources[0], vec![0, 1]);
+        assert_eq!(sched.observed, vec![false, true]);
     }
 
     #[test]

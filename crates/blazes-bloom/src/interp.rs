@@ -29,9 +29,7 @@
 //!   full sets. Rules whose read-set (from [`catalog::Schedule`]) gained
 //!   no tuples are skipped outright. Nonmonotonic bodies (aggregation,
 //!   negation) read only strictly-lower strata, so they evaluate exactly
-//!   once per stratum. Persistent tables enter the timestep as
-//!   copy-on-write snapshots and are only cloned if a rule actually
-//!   derives into them.
+//!   once per stratum.
 //! * [`EvalMode::Sharded`] — semi-naive, plus the probe work of monotonic
 //!   joins is partitioned by join key across scoped worker threads
 //!   ([`blazes_dataflow::pool`]). Per-shard derivations are unioned into
@@ -40,25 +38,44 @@
 //!   coordination is needed inside a monotonic stratum, only the ordered
 //!   merge at its boundary.
 //!
+//! Both optimized modes also run a **demand pass** before each tick, so a
+//! tick costs what changed and what is asked rather than what is stored.
+//! Starting from the collections that are non-empty, a rule is *possible*
+//! when its body can derive anything (a join needs both sides, every other
+//! body its scanned source), and *demanded* when it is possible and its
+//! effect is observed — it writes a table or an output, it is a deferred,
+//! deletion or async rule — or another demanded rule reads its head. Rules
+//! that are not demanded are skipped: a standing `group by` view over a
+//! large table costs nothing on a tick where no request can read it. Every
+//! column reference is resolved when the instance is built, so a skipped
+//! rule can never hide an error the naive oracle would raise.
+//!
+//! Persistent tables are written **in place**. Each tick logs the tuples it
+//! adds to or removes from a table, and a rejected tick (unknown interface,
+//! arity mismatch, evaluation error) replays that log backwards: the tables
+//! and the pending deferred work are exactly as they were before it.
+//!
 //! Every tick records [`TickStats`] (derivations, join probes, fixpoint
-//! iterations, wall time) per stratum, so the cost of re-derivation is a
-//! measured number rather than a claim.
+//! iterations, skipped rules, wall time) per stratum, so the cost of
+//! re-derivation is a measured number rather than a claim.
 
 use crate::ast::*;
 use crate::catalog::{self, Schedule};
 use crate::error::{BloomError, Result};
 use blazes_dataflow::pool;
 use blazes_dataflow::value::{Tuple, Value};
-use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::Instant;
 
 type Rel = BTreeSet<Tuple>;
 
-/// The per-timestep view of every collection. Persistent tables start as
-/// copy-on-write borrows of the instance's stored state; a table is only
-/// cloned when a rule actually derives a new tuple into it.
-type State<'a> = BTreeMap<String, Cow<'a, Rel>>;
+/// The contents of every collection, by name.
+type State = BTreeMap<String, Rel>;
+
+/// The changes a tick made to persistent tables, oldest first:
+/// `(collection index, tuple, inserted)`. Replayed backwards to reject a
+/// tick.
+type Undo = Vec<(usize, Tuple, bool)>;
 
 /// A hash index over one collection: join-key values → matching tuples.
 type Index = HashMap<Vec<Value>, Vec<Tuple>>;
@@ -70,11 +87,11 @@ const SHARD_MIN_TUPLES: usize = 256;
 /// How the instantaneous-rule fixpoint evaluates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvalMode {
-    /// Reference evaluation: full re-derivation every iteration,
-    /// nested-loop joins, whole-table snapshots. The oracle for
-    /// differential tests.
+    /// Reference evaluation: full re-derivation of every rule every
+    /// iteration, nested-loop joins. The oracle for differential tests.
     Naive,
-    /// Semi-naive deltas + hash-join indexes + copy-on-write snapshots.
+    /// Semi-naive deltas + hash-join indexes + demand-driven rule
+    /// skipping.
     #[default]
     SemiNaive,
     /// [`EvalMode::SemiNaive`] with monotonic join probes sharded across
@@ -117,6 +134,10 @@ pub struct TickStats {
     pub join_probes: u64,
     /// Fixpoint iterations executed.
     pub fixpoint_iters: u64,
+    /// Rules the demand pass skipped: their body could derive nothing, or
+    /// nothing reads what it would derive. Always 0 under
+    /// [`EvalMode::Naive`].
+    pub rules_skipped: u64,
     /// Wall-clock nanoseconds spent in the fixpoint.
     pub wall_ns: u64,
 }
@@ -127,6 +148,7 @@ impl TickStats {
         self.derivations += other.derivations;
         self.join_probes += other.join_probes;
         self.fixpoint_iters += other.fixpoint_iters;
+        self.rules_skipped += other.rules_skipped;
         self.wall_ns += other.wall_ns;
     }
 }
@@ -153,11 +175,14 @@ impl TickOutput {
 pub struct ModuleInstance {
     module: Module,
     schedule: Schedule,
-    plans: Vec<Plan>,
+    plans: Vec<JoinPlan>,
     mode: EvalMode,
-    tables: BTreeMap<String, Rel>,
-    pending_insert: BTreeMap<String, Rel>,
-    pending_delete: BTreeMap<String, Rel>,
+    /// Every collection. Tables persist across ticks; every other
+    /// collection is emptied when its tick ends.
+    state: State,
+    /// Deferred work for the next tick, keyed by collection index.
+    pending_insert: BTreeMap<usize, Rel>,
+    pending_delete: BTreeMap<usize, Rel>,
     ticks: u64,
     last_stats: TickStats,
     last_stratum_stats: Vec<TickStats>,
@@ -165,8 +190,8 @@ pub struct ModuleInstance {
 }
 
 impl ModuleInstance {
-    /// Instantiate a module (validates stratifiability) with the default
-    /// semi-naive engine.
+    /// Instantiate a module (validates stratifiability and resolves every
+    /// column reference) with the default semi-naive engine.
     pub fn new(module: Module) -> Result<Self> {
         Self::with_mode(module, EvalMode::default())
     }
@@ -174,11 +199,10 @@ impl ModuleInstance {
     /// Instantiate with an explicit evaluation mode.
     pub fn with_mode(module: Module, mode: EvalMode) -> Result<Self> {
         let schedule = catalog::schedule(&module)?;
-        let plans = plan_rules(&module);
-        let tables = module
+        let plans = plan_rules(&module)?;
+        let state = module
             .collections
             .iter()
-            .filter(|c| c.kind.is_persistent())
             .map(|c| (c.name.clone(), Rel::new()))
             .collect();
         Ok(ModuleInstance {
@@ -186,7 +210,7 @@ impl ModuleInstance {
             schedule,
             plans,
             mode,
-            tables,
+            state,
             pending_insert: BTreeMap::new(),
             pending_delete: BTreeMap::new(),
             ticks: 0,
@@ -214,7 +238,7 @@ impl ModuleInstance {
         self.mode = mode;
     }
 
-    /// Number of timesteps executed.
+    /// Number of timesteps executed (rejected ticks do not count).
     #[must_use]
     pub fn ticks(&self) -> u64 {
         self.ticks
@@ -242,41 +266,42 @@ impl ModuleInstance {
     /// Contents of a persistent table (empty for unknown names).
     #[must_use]
     pub fn table(&self, name: &str) -> Vec<Tuple> {
-        self.tables
-            .get(name)
-            .map(|r| r.iter().cloned().collect())
-            .unwrap_or_default()
+        match self.module.collection(name) {
+            Some(c) if c.kind.is_persistent() => self.state[name].iter().cloned().collect(),
+            _ => Vec::new(),
+        }
     }
 
     /// Execute one timestep with the given input-interface tuples.
+    ///
+    /// A tick that returns an error changes nothing: tables and pending
+    /// deferred work are left as they were before it.
     pub fn tick(&mut self, inputs: BTreeMap<String, Vec<Tuple>>) -> Result<TickOutput> {
-        self.ticks += 1;
-
-        // 1. Apply pending deferred work to tables.
-        for (name, rel) in std::mem::take(&mut self.pending_delete) {
-            if let Some(t) = self.tables.get_mut(&name) {
-                for tuple in rel {
-                    t.remove(&tuple);
-                }
+        let mut undo = Undo::new();
+        let res = self.run_tick(&mut undo, inputs);
+        for c in &self.module.collections {
+            if !c.kind.is_persistent() {
+                self.state.get_mut(&c.name).expect("declared").clear();
             }
         }
-        let pending = std::mem::take(&mut self.pending_insert);
-
-        let old_tables = std::mem::take(&mut self.tables);
-        let res = run_tick(
-            &self.module,
-            &self.schedule,
-            &self.plans,
-            self.mode,
-            &old_tables,
-            &pending,
-            inputs,
-        );
-        self.tables = old_tables;
-        let done = res?;
-        for (name, rel) in done.new_tables {
-            self.tables.insert(name, rel);
-        }
+        let done = match res {
+            Ok(done) => done,
+            Err(e) => {
+                for (ci, t, inserted) in undo.into_iter().rev() {
+                    let rel = self
+                        .state
+                        .get_mut(&self.module.collections[ci].name)
+                        .expect("declared");
+                    if inserted {
+                        rel.remove(&t);
+                    } else {
+                        rel.insert(t);
+                    }
+                }
+                return Err(e);
+            }
+        };
+        self.ticks += 1;
         self.pending_insert = done.pending_insert;
         self.pending_delete = done.pending_delete;
         let mut total = done.post_stats;
@@ -293,8 +318,156 @@ impl ModuleInstance {
                 .add(total.fixpoint_iters);
             reg.counter("bloom.derivations").add(total.derivations);
             reg.counter("bloom.join_probes").add(total.join_probes);
+            reg.counter("bloom.rules_skipped").add(total.rules_skipped);
         }
         Ok(done.output)
+    }
+
+    /// Steps 1–4 of a timestep. Every change to a persistent table is
+    /// logged in `undo`; the pending maps are only read, so a caller that
+    /// rolls back `undo` restores the instance exactly.
+    fn run_tick(
+        &mut self,
+        undo: &mut Undo,
+        inputs: BTreeMap<String, Vec<Tuple>>,
+    ) -> Result<TickDone> {
+        let m = &self.module;
+        let sched = &self.schedule;
+        let plans = &self.plans;
+        let mode = self.mode;
+        let state = &mut self.state;
+
+        // 1. Deferred deletions, then deferred merges, from the previous
+        // timestep. Transient collections are empty here, so deletions
+        // only ever touch tables.
+        for (&ci, rel) in &self.pending_delete {
+            let slot = state.get_mut(&m.collections[ci].name).expect("declared");
+            for t in rel {
+                if slot.remove(t) {
+                    undo.push((ci, t.clone(), false));
+                }
+            }
+        }
+        for (&ci, rel) in &self.pending_insert {
+            merge(m, state, undo, ci, rel.iter().cloned());
+        }
+
+        // 2. External inputs.
+        for (iface, tuples) in inputs {
+            let decl = m
+                .collection(&iface)
+                .ok_or_else(|| BloomError::Eval(format!("unknown input interface {iface:?}")))?;
+            if decl.kind != CollectionKind::Input {
+                return Err(BloomError::Eval(format!(
+                    "{iface:?} is not an input interface"
+                )));
+            }
+            if let Some(t) = tuples.iter().find(|t| t.arity() != decl.arity()) {
+                return Err(BloomError::Eval(format!(
+                    "arity mismatch on {iface:?}: got {}, expected {}",
+                    t.arity(),
+                    decl.arity()
+                )));
+            }
+            state.get_mut(&iface).expect("declared").extend(tuples);
+        }
+
+        // 3. Stratified fixpoint of the instantaneous rules that matter.
+        let demanded = match mode {
+            EvalMode::Naive => vec![true; m.rules.len()],
+            _ => demanded_rules(m, sched, state),
+        };
+        let mut stratum_stats = vec![TickStats::default(); sched.max_stratum + 1];
+        let mut cache = IndexCache::default();
+        match mode {
+            EvalMode::Naive => naive_fixpoint(m, sched, state, undo, &mut stratum_stats)?,
+            _ => semi_naive_fixpoint(
+                m,
+                sched,
+                plans,
+                mode.workers(),
+                &demanded,
+                state,
+                undo,
+                &mut cache,
+                &mut stratum_stats,
+            )?,
+        }
+
+        // 4. Deferred / deletion / async rules against the final state.
+        let mut out_sets: BTreeMap<String, Rel> = BTreeMap::new();
+        let mut pending_insert: BTreeMap<usize, Rel> = BTreeMap::new();
+        let mut pending_delete: BTreeMap<usize, Rel> = BTreeMap::new();
+        let mut post_stats = TickStats::default();
+        let post_started = Instant::now();
+        for (ri, rule) in m.rules.iter().enumerate() {
+            if rule.op == MergeOp::Instant {
+                continue;
+            }
+            let head = sched.heads[ri];
+            let to_output =
+                rule.op == MergeOp::Async && m.collections[head].kind == CollectionKind::Output;
+            if to_output {
+                // An async rule names its output interface in every tick's
+                // output, even when it emits nothing (or is skipped).
+                out_sets.entry(rule.head.clone()).or_default();
+            }
+            if !demanded[ri] {
+                post_stats.rules_skipped += 1;
+                continue;
+            }
+            let derived = if mode == EvalMode::Naive {
+                eval_body(m, state, &rule.body, &mut post_stats.join_probes)?
+            } else {
+                eval_rule_once(
+                    m,
+                    plans,
+                    ri,
+                    state,
+                    &mut cache,
+                    mode.workers(),
+                    &mut post_stats.join_probes,
+                )?
+            };
+            post_stats.derivations += derived.len() as u64;
+            if to_output {
+                out_sets
+                    .entry(rule.head.clone())
+                    .or_default()
+                    .extend(derived);
+                continue;
+            }
+            let target = match rule.op {
+                MergeOp::Delete => &mut pending_delete,
+                // Async into internal state lands next timestep.
+                _ => &mut pending_insert,
+            };
+            target.entry(head).or_default().extend(derived);
+        }
+        post_stats.wall_ns = post_started.elapsed().as_nanos() as u64;
+
+        // Instantly derived output contents are also visible externally.
+        for c in &m.collections {
+            if c.kind == CollectionKind::Output {
+                let rel = std::mem::take(state.get_mut(&c.name).expect("declared"));
+                if !rel.is_empty() {
+                    out_sets.entry(c.name.clone()).or_default().extend(rel);
+                }
+            }
+        }
+        let output = TickOutput {
+            outputs: out_sets
+                .into_iter()
+                .map(|(k, s)| (k, s.into_iter().collect()))
+                .collect(),
+        };
+        Ok(TickDone {
+            output,
+            pending_insert,
+            pending_delete,
+            stratum_stats,
+            post_stats,
+        })
     }
 }
 
@@ -304,171 +477,90 @@ impl ModuleInstance {
 
 struct TickDone {
     output: TickOutput,
-    /// Persistent tables that changed this tick (copy-on-write slots that
-    /// went owned). Unchanged tables are never cloned.
-    new_tables: Vec<(String, Rel)>,
-    pending_insert: BTreeMap<String, Rel>,
-    pending_delete: BTreeMap<String, Rel>,
+    pending_insert: BTreeMap<usize, Rel>,
+    pending_delete: BTreeMap<usize, Rel>,
     stratum_stats: Vec<TickStats>,
     post_stats: TickStats,
 }
 
-fn run_tick(
-    m: &Module,
-    sched: &Schedule,
-    plans: &[Plan],
-    mode: EvalMode,
-    tables: &BTreeMap<String, Rel>,
-    pending: &BTreeMap<String, Rel>,
-    inputs: BTreeMap<String, Vec<Tuple>>,
-) -> Result<TickDone> {
-    // 2. Initialize the timestep state: persistent tables as CoW borrows,
-    // everything else empty.
-    let mut state: State<'_> = BTreeMap::new();
-    for c in &m.collections {
-        let mut slot: Cow<'_, Rel> = if c.kind.is_persistent() {
-            tables
-                .get(&c.name)
-                .map_or_else(|| Cow::Owned(Rel::new()), Cow::Borrowed)
-        } else {
-            Cow::Owned(Rel::new())
+/// The demand pass: which rules can change an output, a table or the next
+/// tick's pending work on this tick (see the module docs).
+fn demanded_rules(m: &Module, sched: &Schedule, state: &State) -> Vec<bool> {
+    let mut live: Vec<bool> = m
+        .collections
+        .iter()
+        .map(|c| !state[&c.name].is_empty())
+        .collect();
+    // A join needs both sides; every other body its scanned source (an
+    // antijoin with an empty negated side still emits its source).
+    let possible = |ri: usize, live: &[bool]| {
+        let sources = &sched.sources[ri];
+        let needed = match m.rules[ri].body {
+            RuleBody::Join { .. } => sources.len(),
+            _ => 1,
         };
-        if let Some(p) = pending.get(&c.name) {
-            if p.iter().any(|t| !slot.contains(t)) {
-                slot.to_mut().extend(p.iter().cloned());
+        sources[..needed].iter().all(|&c| live[c])
+    };
+    // Only instantaneous rules can fill a collection within the tick.
+    loop {
+        let mut grew = false;
+        for (ri, r) in m.rules.iter().enumerate() {
+            let head = sched.heads[ri];
+            if r.op == MergeOp::Instant && !live[head] && possible(ri, &live) {
+                live[head] = true;
+                grew = true;
             }
         }
-        state.insert(c.name.clone(), slot);
-    }
-    for (iface, tuples) in inputs {
-        let decl = m
-            .collection(&iface)
-            .ok_or_else(|| BloomError::Eval(format!("unknown input interface {iface:?}")))?;
-        if decl.kind != CollectionKind::Input {
-            return Err(BloomError::Eval(format!(
-                "{iface:?} is not an input interface"
-            )));
+        if !grew {
+            break;
         }
-        for t in tuples {
-            if t.arity() != decl.arity() {
-                return Err(BloomError::Eval(format!(
-                    "arity mismatch on {iface:?}: got {}, expected {}",
-                    t.arity(),
-                    decl.arity()
-                )));
+    }
+    let mut demanded = vec![false; m.rules.len()];
+    let mut read = vec![false; m.collections.len()];
+    loop {
+        let mut grew = false;
+        for ri in 0..m.rules.len() {
+            if demanded[ri]
+                || !(sched.observed[ri] || read[sched.heads[ri]])
+                || !possible(ri, &live)
+            {
+                continue;
             }
-            state.get_mut(&iface).expect("declared").to_mut().insert(t);
+            demanded[ri] = true;
+            for &c in &sched.sources[ri] {
+                read[c] = true;
+            }
+            grew = true;
+        }
+        if !grew {
+            return demanded;
         }
     }
+}
 
-    // 3. Stratified fixpoint of instantaneous rules.
-    let mut stratum_stats = vec![TickStats::default(); sched.max_stratum + 1];
-    let mut cache = IndexCache::default();
-    match mode {
-        EvalMode::Naive => naive_fixpoint(m, sched, &mut state, &mut stratum_stats)?,
-        _ => semi_naive_fixpoint(
-            m,
-            sched,
-            plans,
-            mode,
-            &mut state,
-            &mut cache,
-            &mut stratum_stats,
-        )?,
-    }
-
-    // 4. Deferred / deletion / async rules against the final state.
-    let mut out_sets: BTreeMap<String, Rel> = BTreeMap::new();
-    let mut pending_insert: BTreeMap<String, Rel> = BTreeMap::new();
-    let mut pending_delete: BTreeMap<String, Rel> = BTreeMap::new();
-    let mut post_stats = TickStats::default();
-    let post_started = Instant::now();
-    for (ri, rule) in m.rules.iter().enumerate() {
-        if rule.op == MergeOp::Instant {
+/// Merge tuples into collection `ci` in place and return the genuinely
+/// new ones; each tuple new to a persistent table is logged in `undo`.
+fn merge(
+    m: &Module,
+    state: &mut State,
+    undo: &mut Undo,
+    ci: usize,
+    tuples: impl IntoIterator<Item = Tuple>,
+) -> Vec<Tuple> {
+    let persistent = m.collections[ci].kind.is_persistent();
+    let slot = state.get_mut(&m.collections[ci].name).expect("declared");
+    let mut fresh = Vec::new();
+    for t in tuples {
+        if slot.contains(&t) {
             continue;
         }
-        let derived = if mode == EvalMode::Naive {
-            eval_body(m, &state, &rule.body, &mut post_stats.join_probes)?
-        } else {
-            eval_rule_once(
-                m,
-                plans,
-                ri,
-                &state,
-                &mut cache,
-                mode.workers(),
-                &mut post_stats.join_probes,
-            )?
-        };
-        post_stats.derivations += derived.len() as u64;
-        match rule.op {
-            MergeOp::Instant => unreachable!("filtered above"),
-            MergeOp::Deferred => {
-                pending_insert
-                    .entry(rule.head.clone())
-                    .or_default()
-                    .extend(derived);
-            }
-            MergeOp::Delete => {
-                pending_delete
-                    .entry(rule.head.clone())
-                    .or_default()
-                    .extend(derived);
-            }
-            MergeOp::Async => {
-                let kind = m.collection(&rule.head).map(|c| c.kind);
-                if kind == Some(CollectionKind::Output) {
-                    out_sets
-                        .entry(rule.head.clone())
-                        .or_default()
-                        .extend(derived);
-                } else {
-                    // Async into internal state lands next timestep.
-                    pending_insert
-                        .entry(rule.head.clone())
-                        .or_default()
-                        .extend(derived);
-                }
-            }
+        slot.insert(t.clone());
+        if persistent {
+            undo.push((ci, t.clone(), true));
         }
+        fresh.push(t);
     }
-    post_stats.wall_ns = post_started.elapsed().as_nanos() as u64;
-
-    // Instantly derived output contents are also visible externally.
-    for out_name in m.outputs() {
-        let rel: &Rel = &state[out_name];
-        if !rel.is_empty() {
-            out_sets
-                .entry(out_name.to_string())
-                .or_default()
-                .extend(rel.iter().cloned());
-        }
-    }
-    let output = TickOutput {
-        outputs: out_sets
-            .into_iter()
-            .map(|(k, s)| (k, s.into_iter().collect()))
-            .collect(),
-    };
-
-    // Persist table contents: only copy-on-write slots that actually went
-    // owned carry changes; borrowed slots mean the table is untouched.
-    let mut new_tables = Vec::new();
-    for c in &m.collections {
-        if c.kind.is_persistent() {
-            if let Some(Cow::Owned(rel)) = state.remove(&c.name) {
-                new_tables.push((c.name.clone(), rel));
-            }
-        }
-    }
-    Ok(TickDone {
-        output,
-        new_tables,
-        pending_insert,
-        pending_delete,
-        stratum_stats,
-        post_stats,
-    })
+    fresh
 }
 
 /// The original reference fixpoint: every rule re-derives from scratch
@@ -476,7 +568,8 @@ fn run_tick(
 fn naive_fixpoint(
     m: &Module,
     sched: &Schedule,
-    state: &mut State<'_>,
+    state: &mut State,
+    undo: &mut Undo,
     stats: &mut [TickStats],
 ) -> Result<()> {
     for (stratum, st) in stats.iter_mut().enumerate().take(sched.max_stratum + 1) {
@@ -485,22 +578,10 @@ fn naive_fixpoint(
         loop {
             st.fixpoint_iters += 1;
             let mut changed = false;
-            for rule in &m.rules {
-                if rule.op != MergeOp::Instant || sched.strata[&rule.head] != stratum {
-                    continue;
-                }
-                let derived = eval_body(m, state, &rule.body, &mut st.join_probes)?;
+            for &ri in &sched.instant_by_stratum[stratum] {
+                let derived = eval_body(m, state, &m.rules[ri].body, &mut st.join_probes)?;
                 st.derivations += derived.len() as u64;
-                for t in derived {
-                    if !state[&rule.head].contains(&t) {
-                        state
-                            .get_mut(&rule.head)
-                            .expect("declared")
-                            .to_mut()
-                            .insert(t);
-                        changed = true;
-                    }
-                }
+                changed |= !merge(m, state, undo, sched.heads[ri], derived).is_empty();
             }
             if !changed {
                 break;
@@ -518,34 +599,39 @@ fn naive_fixpoint(
     Ok(())
 }
 
-/// Semi-naive fixpoint: one full pass seeds per-collection deltas, then
-/// each iteration only joins the previous iteration's new tuples against
-/// hash indexes over the accumulated sets. Rules whose read-set gained
-/// nothing are skipped. Nonmonotonic bodies run exactly once per stratum
-/// (their sources live strictly below and are complete).
+/// Semi-naive fixpoint over the demanded rules: one full pass seeds
+/// per-collection deltas, then each iteration only joins the previous
+/// iteration's new tuples against hash indexes over the accumulated sets.
+/// Rules whose read-set gained nothing are skipped. Nonmonotonic bodies
+/// run exactly once per stratum (their sources live strictly below and
+/// are complete). A stratum with no demanded rule does not run at all.
+#[allow(clippy::too_many_arguments)] // internal fixpoint plumbing
 fn semi_naive_fixpoint(
     m: &Module,
     sched: &Schedule,
-    plans: &[Plan],
-    mode: EvalMode,
-    state: &mut State<'_>,
+    plans: &[JoinPlan],
+    workers: usize,
+    demanded: &[bool],
+    state: &mut State,
+    undo: &mut Undo,
     cache: &mut IndexCache,
     stats: &mut [TickStats],
 ) -> Result<()> {
-    let workers = mode.workers();
     for (stratum, st) in stats.iter_mut().enumerate().take(sched.max_stratum + 1) {
-        let rules = &sched.instant_by_stratum[stratum];
+        let all = &sched.instant_by_stratum[stratum];
+        let rules: Vec<usize> = all.iter().copied().filter(|&ri| demanded[ri]).collect();
+        st.rules_skipped += (all.len() - rules.len()) as u64;
         if rules.is_empty() {
             continue;
         }
         let started = Instant::now();
         let span = blazes_obs::start();
         st.fixpoint_iters += 1;
-        let mut delta: BTreeMap<String, Rel> = BTreeMap::new();
-        for &ri in rules {
+        let mut delta: BTreeMap<usize, Rel> = BTreeMap::new();
+        for &ri in &rules {
             let derived = eval_rule_once(m, plans, ri, state, cache, workers, &mut st.join_probes)?;
             st.derivations += derived.len() as u64;
-            insert_new(state, cache, &m.rules[ri].head, derived, &mut delta);
+            insert_new(m, sched.heads[ri], derived, state, undo, cache, &mut delta);
         }
         loop {
             delta.retain(|_, r| !r.is_empty());
@@ -554,18 +640,18 @@ fn semi_naive_fixpoint(
             }
             st.fixpoint_iters += 1;
             let cur = std::mem::take(&mut delta);
-            for &ri in rules {
-                let rule = &m.rules[ri];
+            for &ri in &rules {
                 // Aggregations and antijoins saw their (complete, lower-
                 // stratum) sources in the first pass.
                 if matches!(
-                    rule.body,
+                    m.rules[ri].body,
                     RuleBody::GroupBy { .. } | RuleBody::AntiJoin { .. }
                 ) {
                     continue;
                 }
                 // Read-set skip: nothing new to feed this rule.
-                if !sched.reads[ri].iter().any(|s| cur.contains_key(s)) {
+                let fed: Vec<Option<&Rel>> = sched.sources[ri].iter().map(|c| cur.get(c)).collect();
+                if fed.iter().all(Option::is_none) {
                     continue;
                 }
                 let derived = eval_rule_delta(
@@ -574,12 +660,12 @@ fn semi_naive_fixpoint(
                     ri,
                     state,
                     cache,
-                    &cur,
+                    &fed,
                     workers,
                     &mut st.join_probes,
                 )?;
                 st.derivations += derived.len() as u64;
-                insert_new(state, cache, &rule.head, derived, &mut delta);
+                insert_new(m, sched.heads[ri], derived, state, undo, cache, &mut delta);
             }
         }
         st.wall_ns += started.elapsed().as_nanos() as u64;
@@ -597,21 +683,22 @@ fn semi_naive_fixpoint(
 /// Merge freshly derived tuples into the head collection, recording the
 /// genuinely new ones in the delta map and keeping live indexes fresh.
 fn insert_new(
-    state: &mut State<'_>,
-    cache: &mut IndexCache,
-    head: &str,
+    m: &Module,
+    head: usize,
     derived: Rel,
-    delta: &mut BTreeMap<String, Rel>,
+    state: &mut State,
+    undo: &mut Undo,
+    cache: &mut IndexCache,
+    delta: &mut BTreeMap<usize, Rel>,
 ) {
-    let slot = state.get_mut(head).expect("declared");
-    for t in derived {
-        if slot.contains(&t) {
-            continue;
-        }
-        slot.to_mut().insert(t.clone());
-        cache.note_insert(head, &t);
-        delta.entry(head.to_string()).or_default().insert(t);
+    let fresh = merge(m, state, undo, head, derived);
+    if fresh.is_empty() {
+        return;
     }
+    for t in &fresh {
+        cache.note_insert(&m.collections[head].name, t);
+    }
+    delta.entry(head).or_default().extend(fresh);
 }
 
 // ---------------------------------------------------------------------
@@ -619,7 +706,8 @@ fn insert_new(
 // ---------------------------------------------------------------------
 
 /// The cross- and same-side structure of a join/antijoin `on` clause,
-/// resolved to column positions at instantiation time.
+/// resolved to column positions at instantiation time (empty for other
+/// bodies).
 #[derive(Debug, Clone, Default)]
 struct JoinPlan {
     /// Key columns on the left/positive side (cross-side equalities).
@@ -632,78 +720,162 @@ struct JoinPlan {
     rfilter: Vec<(usize, usize)>,
 }
 
-/// Precomputed evaluation strategy per rule.
-#[derive(Debug, Clone)]
-enum Plan {
-    /// Stream the source through predicates.
-    Select,
-    /// Probe a hash index over the opposite side.
-    HashJoin(JoinPlan),
-    /// Probe a hash index over the negated side for existence.
-    HashAnti(JoinPlan),
-    /// One-pass aggregation.
-    Aggregate,
-    /// On-clause could not be resolved statically — evaluate with the
-    /// naive nested loop (which reproduces the reference error behavior).
-    Fallback,
-}
-
-fn plan_rules(m: &Module) -> Vec<Plan> {
+/// Resolve every column reference of every rule exactly as evaluation
+/// would (so an unresolvable one fails here, in every mode, rather than on
+/// whichever tick first evaluates the rule), and plan each join/antijoin
+/// `on` clause as hash-join keys.
+fn plan_rules(m: &Module) -> Result<Vec<JoinPlan>> {
     m.rules
         .iter()
         .map(|r| match &r.body {
-            RuleBody::Select { .. } => Plan::Select,
-            RuleBody::GroupBy { .. } => Plan::Aggregate,
+            RuleBody::Select {
+                source,
+                projection,
+                predicates,
+            } => {
+                let scope = [(source.as_str(), decl(m, source)?)];
+                let proj = projection.as_deref().unwrap_or_default();
+                check_cols(pred_cols(predicates).chain(proj_cols(proj)), &scope, None)?;
+                Ok(JoinPlan::default())
+            }
             RuleBody::Join {
-                left, right, on, ..
-            } => plan_pairs(m, left, right, on).map_or(Plan::Fallback, Plan::HashJoin),
+                left,
+                right,
+                on,
+                projection,
+                predicates,
+            } => {
+                let scope = [
+                    (left.as_str(), decl(m, left)?),
+                    (right.as_str(), decl(m, right)?),
+                ];
+                check_cols(
+                    pred_cols(predicates).chain(proj_cols(projection)),
+                    &scope,
+                    None,
+                )?;
+                plan_pairs(on, &scope)
+            }
             RuleBody::AntiJoin {
-                source, neg, on, ..
-            } => plan_pairs(m, source, neg, on).map_or(Plan::Fallback, Plan::HashAnti),
+                source,
+                neg,
+                on,
+                projection,
+                predicates,
+            } => {
+                let scope = [
+                    (source.as_str(), decl(m, source)?),
+                    (neg.as_str(), decl(m, neg)?),
+                ];
+                let proj = projection.as_deref().unwrap_or_default();
+                check_cols(
+                    pred_cols(predicates).chain(proj_cols(proj)),
+                    &scope[..1],
+                    None,
+                )?;
+                plan_pairs(on, &scope)
+            }
+            RuleBody::GroupBy {
+                source,
+                group_by,
+                agg,
+                agg_col,
+                alias,
+                having,
+                projection,
+            } => {
+                let d = decl(m, source)?;
+                let scope = [(source.as_str(), d)];
+                check_cols(group_by, &scope, None)?;
+                agg_column(source, d, *agg, agg_col.as_ref())?;
+                let proj = projection.as_deref().unwrap_or_default();
+                let cols = pred_cols(having.as_slice()).chain(proj_cols(proj));
+                check_cols(cols, &scope, Some(alias))?;
+                Ok(JoinPlan::default())
+            }
         })
         .collect()
 }
 
-fn plan_pairs(m: &Module, first: &str, second: &str, on: &[(ColRef, ColRef)]) -> Option<JoinPlan> {
-    let d1 = m.collection(first)?;
-    let d2 = m.collection(second)?;
-    let sides = [(first, d1), (second, d2)];
+fn check_cols<'c>(
+    cols: impl IntoIterator<Item = &'c ColRef>,
+    scope: &[(&str, &CollectionDecl)],
+    alias: Option<&str>,
+) -> Result<()> {
+    for c in cols {
+        resolve(c, scope.iter().copied(), alias)?;
+    }
+    Ok(())
+}
+
+fn pred_cols(preds: &[Predicate]) -> impl Iterator<Item = &ColRef> {
+    preds
+        .iter()
+        .flat_map(|p| [&p.lhs, &p.rhs])
+        .filter_map(|o| match o {
+            Operand::Col(c) => Some(c),
+            Operand::Lit(_) => None,
+        })
+}
+
+fn proj_cols(items: &[ProjItem]) -> impl Iterator<Item = &ColRef> {
+    items.iter().filter_map(|i| match i {
+        ProjItem::Col(c) => Some(c),
+        ProjItem::Lit(_) => None,
+    })
+}
+
+fn plan_pairs(on: &[(ColRef, ColRef)], sides: &[(&str, &CollectionDecl); 2]) -> Result<JoinPlan> {
     let mut plan = JoinPlan::default();
     for (a, b) in on {
-        match (resolve_side(a, &sides)?, resolve_side(b, &sides)?) {
-            ((0, i), (1, j)) => {
+        let side = |c| resolve(c, sides.iter().copied(), None).map(|s| s.expect("no alias"));
+        match (side(a)?, side(b)?) {
+            ((0, i), (0, j)) => plan.lfilter.push((i, j)),
+            ((0, i), (_, j)) => {
                 plan.lkey.push(i);
                 plan.rkey.push(j);
             }
-            ((1, i), (0, j)) => {
+            ((_, i), (0, j)) => {
                 plan.lkey.push(j);
                 plan.rkey.push(i);
             }
-            ((0, i), (0, j)) => plan.lfilter.push((i, j)),
-            ((1, i), (1, j)) => plan.rfilter.push((i, j)),
-            _ => return None,
+            ((_, i), (_, j)) => plan.rfilter.push((i, j)),
         }
     }
-    Some(plan)
+    Ok(plan)
 }
 
-/// Mirror [`Env::lookup`]'s resolution order exactly: first binding whose
-/// name matches (or any binding, for bare refs) and whose schema has the
-/// column. `None` means runtime resolution would error — the caller falls
-/// back to naive evaluation so the error surfaces identically.
-fn resolve_side(col: &ColRef, sides: &[(&str, &CollectionDecl); 2]) -> Option<(usize, usize)> {
-    for (si, (name, decl)) in sides.iter().enumerate() {
-        if !col.collection.is_empty() && col.collection != *name {
+/// Resolve a column reference the one way every evaluation path does: a
+/// bare name matching the aggregate alias is the alias (`Ok(None)`);
+/// otherwise the first binding whose name matches (any binding, for a bare
+/// name) and whose schema has the column gives `Ok(Some((binding,
+/// column)))`. A qualified reference whose collection lacks the column is
+/// an error, as is a reference nothing resolves.
+fn resolve<'a>(
+    col: &ColRef,
+    bindings: impl Iterator<Item = (&'a str, &'a CollectionDecl)>,
+    alias: Option<&str>,
+) -> Result<Option<(usize, usize)>> {
+    if col.collection.is_empty() && alias == Some(col.column.as_str()) {
+        return Ok(None);
+    }
+    for (bi, (name, decl)) in bindings.enumerate() {
+        if !col.collection.is_empty() && col.collection != name {
             continue;
         }
         if let Some(i) = decl.col_index(&col.column) {
-            return Some((si, i));
+            return Ok(Some((bi, i)));
         }
         if !col.collection.is_empty() {
-            return None;
+            return Err(BloomError::Eval(format!(
+                "collection {:?} has no column {:?}",
+                name, col.column
+            )));
         }
     }
-    None
+    Err(BloomError::Eval(format!(
+        "unresolved column reference {col}"
+    )))
 }
 
 fn key_of(t: &Tuple, cols: &[usize]) -> Vec<Value> {
@@ -738,7 +910,7 @@ struct IndexCache {
 impl IndexCache {
     /// Build the `(collection, key-columns)` index from the current state
     /// if it does not exist yet.
-    fn ensure(&mut self, state: &State<'_>, coll: &str, cols: &[usize]) {
+    fn ensure(&mut self, state: &State, coll: &str, cols: &[usize]) {
         let key = (coll.to_string(), cols.to_vec());
         if self.map.contains_key(&key) {
             return;
@@ -776,37 +948,32 @@ impl IndexCache {
 /// stratum, and the post-fixpoint deferred/async pass).
 fn eval_rule_once(
     m: &Module,
-    plans: &[Plan],
+    plans: &[JoinPlan],
     ri: usize,
-    state: &State<'_>,
+    state: &State,
     cache: &mut IndexCache,
     workers: usize,
     probes: &mut u64,
 ) -> Result<Rel> {
     let rule = &m.rules[ri];
-    match (&rule.body, &plans[ri]) {
-        (
-            RuleBody::Select {
-                source,
-                projection,
-                predicates,
-            },
-            _,
-        ) => {
+    let plan = &plans[ri];
+    match &rule.body {
+        RuleBody::Select {
+            source,
+            projection,
+            predicates,
+        } => {
             let d = decl(m, source)?;
             let tuples: Vec<&Tuple> = state[source].iter().collect();
             eval_select(source, d, projection.as_ref(), predicates, &tuples, probes)
         }
-        (
-            RuleBody::Join {
-                left,
-                right,
-                projection,
-                predicates,
-                ..
-            },
-            Plan::HashJoin(plan),
-        ) => {
+        RuleBody::Join {
+            left,
+            right,
+            projection,
+            predicates,
+            ..
+        } => {
             let args = JoinArgs {
                 left,
                 ldecl: decl(m, left)?,
@@ -827,16 +994,13 @@ fn eval_rule_once(
                 probes,
             )
         }
-        (
-            RuleBody::AntiJoin {
-                source,
-                neg,
-                projection,
-                predicates,
-                ..
-            },
-            Plan::HashAnti(plan),
-        ) => {
+        RuleBody::AntiJoin {
+            source,
+            neg,
+            projection,
+            predicates,
+            ..
+        } => {
             let args = AntiArgs {
                 source,
                 sdecl: decl(m, source)?,
@@ -848,37 +1012,33 @@ fn eval_rule_once(
             let probe: Vec<&Tuple> = state[source].iter().collect();
             probe_anti(&args, &probe, cache.get(neg, &plan.rkey), workers, probes)
         }
-        (RuleBody::GroupBy { .. }, _) => eval_body(m, state, &rule.body, probes),
-        // Unresolvable on-clause: reference nested-loop path.
-        (_, _) => eval_body(m, state, &rule.body, probes),
+        RuleBody::GroupBy { .. } => eval_body(m, state, &rule.body, probes),
     }
 }
 
-/// Evaluate a monotonic rule against the previous iteration's deltas:
-/// delta ⋈ full on each side, probing the incrementally maintained
-/// indexes.
+/// Evaluate a monotonic rule against the previous iteration's deltas of
+/// its sources (`fed`, aligned with the body's sources): delta ⋈ full on
+/// each side, probing the incrementally maintained indexes.
 #[allow(clippy::too_many_arguments)] // internal fixpoint plumbing
 fn eval_rule_delta(
     m: &Module,
-    plans: &[Plan],
+    plans: &[JoinPlan],
     ri: usize,
-    state: &State<'_>,
+    state: &State,
     cache: &mut IndexCache,
-    cur: &BTreeMap<String, Rel>,
+    fed: &[Option<&Rel>],
     workers: usize,
     probes: &mut u64,
 ) -> Result<Rel> {
     let rule = &m.rules[ri];
-    match (&rule.body, &plans[ri]) {
-        (
-            RuleBody::Select {
-                source,
-                projection,
-                predicates,
-            },
-            _,
-        ) => match cur.get(source) {
-            Some(d) if !d.is_empty() => {
+    let plan = &plans[ri];
+    match &rule.body {
+        RuleBody::Select {
+            source,
+            projection,
+            predicates,
+        } => match fed[0] {
+            Some(d) => {
                 let tuples: Vec<&Tuple> = d.iter().collect();
                 eval_select(
                     source,
@@ -891,16 +1051,13 @@ fn eval_rule_delta(
             }
             _ => Ok(Rel::new()),
         },
-        (
-            RuleBody::Join {
-                left,
-                right,
-                projection,
-                predicates,
-                ..
-            },
-            Plan::HashJoin(plan),
-        ) => {
+        RuleBody::Join {
+            left,
+            right,
+            projection,
+            predicates,
+            ..
+        } => {
             let args = JoinArgs {
                 left,
                 ldecl: decl(m, left)?,
@@ -911,7 +1068,7 @@ fn eval_rule_delta(
                 plan,
             };
             let mut out = Rel::new();
-            if let Some(dl) = cur.get(left).filter(|d| !d.is_empty()) {
+            if let Some(dl) = fed[0] {
                 cache.ensure(state, right, &plan.rkey);
                 let probe: Vec<&Tuple> = dl.iter().collect();
                 out.extend(probe_join(
@@ -923,7 +1080,7 @@ fn eval_rule_delta(
                     probes,
                 )?);
             }
-            if let Some(dr) = cur.get(right).filter(|d| !d.is_empty()) {
+            if let Some(dr) = fed[1] {
                 cache.ensure(state, left, &plan.lkey);
                 let probe: Vec<&Tuple> = dr.iter().collect();
                 out.extend(probe_join(
@@ -937,10 +1094,8 @@ fn eval_rule_delta(
             }
             Ok(out)
         }
-        // Unresolvable join: re-derive fully (correct, rare).
-        (RuleBody::Join { .. }, _) => eval_body(m, state, &rule.body, probes),
         // Nonmonotonic bodies never run in delta iterations.
-        (RuleBody::AntiJoin { .. } | RuleBody::GroupBy { .. }, _) => {
+        RuleBody::AntiJoin { .. } | RuleBody::GroupBy { .. } => {
             debug_assert!(false, "nonmonotonic body in delta iteration");
             Ok(Rel::new())
         }
@@ -1138,28 +1293,13 @@ struct Env<'a> {
 
 impl<'a> Env<'a> {
     fn lookup(&self, col: &ColRef) -> Result<Value> {
-        if let Some((alias, v)) = &self.alias {
-            if col.collection.is_empty() && col.column == *alias {
-                return Ok(v.clone());
-            }
-        }
-        for (name, decl, tuple) in &self.bindings {
-            if !col.collection.is_empty() && col.collection != *name {
-                continue;
-            }
-            if let Some(i) = decl.col_index(&col.column) {
-                return Ok(tuple.get(i).expect("schema arity").clone());
-            }
-            if !col.collection.is_empty() {
-                return Err(BloomError::Eval(format!(
-                    "collection {:?} has no column {:?}",
-                    name, col.column
-                )));
-            }
-        }
-        Err(BloomError::Eval(format!(
-            "unresolved column reference {col}"
-        )))
+        let bindings = self.bindings.iter().map(|&(name, decl, _)| (name, decl));
+        Ok(
+            match resolve(col, bindings, self.alias.as_ref().map(|a| a.0))? {
+                Some((b, i)) => self.bindings[b].2.get(i).expect("schema arity").clone(),
+                None => self.alias.as_ref().expect("alias resolved").1.clone(),
+            },
+        )
     }
 
     fn operand(&self, op: &Operand) -> Result<Value> {
@@ -1201,7 +1341,7 @@ fn decl<'m>(m: &'m Module, name: &str) -> Result<&'m CollectionDecl> {
         .ok_or_else(|| BloomError::Eval(format!("unknown collection {name:?}")))
 }
 
-fn eval_body(m: &Module, state: &State<'_>, body: &RuleBody, probes: &mut u64) -> Result<Rel> {
+fn eval_body(m: &Module, state: &State, body: &RuleBody, probes: &mut u64) -> Result<Rel> {
     match body {
         RuleBody::Select {
             source,
@@ -1316,7 +1456,7 @@ fn eval_body(m: &Module, state: &State<'_>, body: &RuleBody, probes: &mut u64) -
             }
             let mut out = Rel::new();
             for (key, rows) in groups {
-                let value = aggregate(m, source, d, *agg, agg_col.as_ref(), &rows)?;
+                let value = aggregate(source, d, *agg, agg_col.as_ref(), &rows)?;
                 // Representative row for column resolution.
                 let rep = rows[0];
                 let env = Env {
@@ -1343,28 +1483,39 @@ fn eval_body(m: &Module, state: &State<'_>, body: &RuleBody, probes: &mut u64) -
     }
 }
 
+/// The column an aggregate reads (`None` for `count`).
+fn agg_column(
+    source: &str,
+    d: &CollectionDecl,
+    agg: AggFun,
+    agg_col: Option<&ColRef>,
+) -> Result<Option<usize>> {
+    if agg == AggFun::Count {
+        return Ok(None);
+    }
+    let c = agg_col.ok_or_else(|| BloomError::Eval("sum/min/max require a column".to_string()))?;
+    if !c.collection.is_empty() && c.collection != source {
+        return Err(BloomError::Eval(format!(
+            "aggregate column {c} does not belong to {source:?}"
+        )));
+    }
+    d.col_index(&c.column)
+        .map(Some)
+        .ok_or_else(|| BloomError::Eval(format!("unknown aggregate column {c}")))
+}
+
 fn aggregate(
-    _m: &Module,
     source: &str,
     d: &CollectionDecl,
     agg: AggFun,
     agg_col: Option<&ColRef>,
     rows: &[&Tuple],
 ) -> Result<Value> {
-    let col_index = |c: &ColRef| -> Result<usize> {
-        if !c.collection.is_empty() && c.collection != source {
-            return Err(BloomError::Eval(format!(
-                "aggregate column {c} does not belong to {source:?}"
-            )));
-        }
-        d.col_index(&c.column)
-            .ok_or_else(|| BloomError::Eval(format!("unknown aggregate column {c}")))
+    let Some(i) = agg_column(source, d, agg, agg_col)? else {
+        return Ok(Value::Int(rows.len() as i64));
     };
     Ok(match agg {
-        AggFun::Count => Value::Int(rows.len() as i64),
         AggFun::Sum => {
-            let c = agg_col.ok_or_else(|| BloomError::Eval("sum requires a column".to_string()))?;
-            let i = col_index(c)?;
             let mut sum = 0i64;
             for r in rows {
                 sum += r
@@ -1374,18 +1525,15 @@ fn aggregate(
             }
             Value::Int(sum)
         }
-        AggFun::Min | AggFun::Max => {
-            let c =
-                agg_col.ok_or_else(|| BloomError::Eval("min/max require a column".to_string()))?;
-            let i = col_index(c)?;
-            let mut vals: Vec<&Value> = rows.iter().filter_map(|r| r.get(i)).collect();
-            vals.sort();
+        _ => {
+            let vals = rows.iter().filter_map(|r| r.get(i));
             let v = if agg == AggFun::Min {
-                vals.first()
+                vals.min()
             } else {
-                vals.last()
+                vals.max()
             };
-            (*v.ok_or_else(|| BloomError::Eval("aggregate over empty group".to_string()))?).clone()
+            v.ok_or_else(|| BloomError::Eval("aggregate over empty group".to_string()))?
+                .clone()
         }
     })
 }
@@ -1784,6 +1932,85 @@ module S {
         let mut inst = ModuleInstance::new(m).unwrap();
         let err = inst.tick(inputs(&[("ghost", vec![t1(1i64)])])).unwrap_err();
         assert!(matches!(err, BloomError::Eval(_)));
+    }
+
+    #[test]
+    fn rejected_tick_is_atomic() {
+        for mode in all_modes() {
+            let m = parse_module(
+                "module M { input a(x) input d(x) output o(x) table t(x) t <+ a t <- d o <= t }",
+            )
+            .unwrap();
+            let mut inst = ModuleInstance::with_mode(m, mode).unwrap();
+            inst.tick(inputs(&[("a", vec![t1(2i64)])])).unwrap();
+            inst.tick(inputs(&[])).unwrap();
+            assert_eq!(inst.table("t"), vec![t1(2i64)]);
+            // Schedule insert 1 and delete 2 for the next tick ...
+            inst.tick(inputs(&[("a", vec![t1(1i64)]), ("d", vec![t1(2i64)])]))
+                .unwrap();
+            // ... which is rejected: nothing it touched may change.
+            let err = inst.tick(inputs(&[("a", vec![t2(1i64, 1i64)])]));
+            assert!(matches!(err, Err(BloomError::Eval(_))), "{mode:?}");
+            assert_eq!(inst.table("t"), vec![t1(2i64)], "{mode:?}");
+            assert_eq!(inst.ticks(), 3, "a rejected tick does not count");
+            // The next good tick applies the still-pending work.
+            let out = inst.tick(inputs(&[])).unwrap();
+            assert_eq!(inst.table("t"), vec![t1(1i64)], "{mode:?}");
+            assert_eq!(out.on("o"), &[t1(1i64)]);
+        }
+    }
+
+    #[test]
+    fn rejected_tick_undoes_in_place_table_writes() {
+        // Stratum 0 writes `t` in place; the `sum` in stratum 1 then fails
+        // on a string, so those writes must be rolled back.
+        for mode in all_modes() {
+            let m = parse_module(
+                "module M { input a(k, v) output s(k, total) table t(k, v) \
+                 t <= a s <= t group by (t.k) agg sum(t.v) as total }",
+            )
+            .unwrap();
+            let mut inst = ModuleInstance::with_mode(m, mode).unwrap();
+            inst.tick(inputs(&[("a", vec![t2("x", 1i64)])])).unwrap();
+            let err = inst.tick(inputs(&[("a", vec![t2("y", "oops")])]));
+            assert!(matches!(err, Err(BloomError::Eval(_))), "{mode:?}");
+            assert_eq!(inst.table("t"), vec![t2("x", 1i64)], "{mode:?}");
+            let out = inst.tick(inputs(&[("a", vec![t2("x", 2i64)])])).unwrap();
+            assert_eq!(out.on("s"), &[t2("x", 3i64)], "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn unresolved_columns_fail_at_instantiation_in_every_mode() {
+        // `q` is an unread scratch, so the demand pass would skip both
+        // rules on every tick; the bad references must still be reported,
+        // exactly as the naive oracle would on the first click.
+        let bad_having = "module M { input a(x) output o(x) table log(x) scratch q(x, n) \
+             log <= a q <= log group by (log.x) agg count(*) as n having m < 3 o <= a }";
+        let bad_projection = "module M { input a(x) output o(x) table log(x) scratch q(x) \
+             log <= a q <= log -> (log.y) o <= a }";
+        for (text, want) in [
+            (bad_having, "unresolved column reference m"),
+            (bad_projection, "has no column \"y\""),
+        ] {
+            for mode in all_modes() {
+                let err = ModuleInstance::with_mode(parse_module(text).unwrap(), mode).unwrap_err();
+                assert!(err.to_string().contains(want), "{mode:?}: {err}");
+            }
+        }
+    }
+
+    #[test]
+    fn skipping_never_hides_a_runtime_error() {
+        // Nothing reads `s`, but a `sum` over a string fails in the oracle,
+        // so every mode must evaluate it and fail the same way.
+        let text = "module M { input a(k, v) output o(k) scratch s(k, total) \
+             s <= a group by (a.k) agg sum(a.v) as total o <= a -> (a.k) }";
+        for mode in all_modes() {
+            let mut inst = ModuleInstance::with_mode(parse_module(text).unwrap(), mode).unwrap();
+            let err = inst.tick(inputs(&[("a", vec![t2("x", "oops")])]));
+            assert!(matches!(err, Err(BloomError::Eval(_))), "{mode:?}");
+        }
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! * a **timestep interpreter** ([`interp`]) with Bloom's merge operators —
 //!   instantaneous (`<=`), deferred (`<+`), deletion (`<-`) and
 //!   asynchronous (`<~`) — and stratified evaluation of nonmonotonic rules.
-//!   The fixpoint engine is semi-naive with hash-join indexes and optional
+//!   The fixpoint engine is semi-naive with hash-join indexes, demand-driven
+//!   rule skipping, in-place tables with per-tick rollback and optional
 //!   worker sharding ([`interp::EvalMode`]), with per-tick work counters
 //!   ([`interp::TickStats`]);
 //! * the **white-box static analyses** ([`analyze`]) the paper describes:

@@ -161,19 +161,22 @@ fn run_bloom_module(name: &str, text: &str, args: &[String]) {
         }
         for (stratum, s) in inst.last_stratum_stats().iter().enumerate() {
             println!(
-                "  stratum {stratum}: {} iter(s), {} derivation(s), {} probe(s), {:.3} ms",
+                "  stratum {stratum}: {} iter(s), {} derivation(s), {} probe(s), \
+                 {} skipped, {:.3} ms",
                 s.fixpoint_iters,
                 s.derivations,
                 s.join_probes,
+                s.rules_skipped,
                 s.wall_ns as f64 / 1e6
             );
         }
         let t = inst.last_tick_stats();
         println!(
-            "  total: {} iter(s), {} derivation(s), {} probe(s), {:.3} ms",
+            "  total: {} iter(s), {} derivation(s), {} probe(s), {} rule(s) skipped, {:.3} ms",
             t.fixpoint_iters,
             t.derivations,
             t.join_probes,
+            t.rules_skipped,
             t.wall_ns as f64 / 1e6
         );
     }

@@ -39,14 +39,13 @@ fn singles(values: &[i64]) -> Vec<Tuple> {
     values.iter().map(|&a| Tuple(vec![Value::Int(a)])).collect()
 }
 
-/// Run a module under one mode over a scripted sequence of ticks; return
-/// the digest: every tick's full output map plus the final contents of
-/// every persistent table.
-fn digest(
-    text: &str,
-    mode: EvalMode,
-    ticks: &[BTreeMap<String, Vec<Tuple>>],
-) -> (Vec<TickOutput>, BTreeMap<String, Vec<Tuple>>) {
+/// Every tick's full output map plus the contents of every persistent
+/// table right after that tick.
+type Digest = Vec<(TickOutput, BTreeMap<String, Vec<Tuple>>)>;
+
+/// Run a module under one mode over a scripted sequence of ticks and
+/// return its digest.
+fn digest(text: &str, mode: EvalMode, ticks: &[BTreeMap<String, Vec<Tuple>>]) -> Digest {
     let m = parse_module(text).expect("example must parse");
     let tables: Vec<String> = m
         .collections
@@ -55,30 +54,29 @@ fn digest(
         .map(|c| c.name.clone())
         .collect();
     let mut inst = ModuleInstance::with_mode(m, mode).expect("example must stratify");
-    let outs: Vec<TickOutput> = ticks
+    ticks
         .iter()
-        .map(|inp| inst.tick(inp.clone()).expect("tick must succeed"))
-        .collect();
-    let finals = tables
-        .into_iter()
-        .map(|t| {
-            let rows = inst.table(&t);
-            (t, rows)
+        .map(|inp| {
+            let out = inst.tick(inp.clone()).expect("tick must succeed");
+            let rows = tables.iter().map(|t| (t.clone(), inst.table(t))).collect();
+            (out, rows)
         })
-        .collect();
-    (outs, finals)
+        .collect()
 }
 
-/// Assert all engine variants agree on a module/workload, and that the
-/// optimized modes do not derive more than the oracle.
+/// Assert all engine variants agree with the naive oracle on every tick's
+/// outputs and tables.
 fn assert_all_modes_agree(label: &str, text: &str, ticks: &[BTreeMap<String, Vec<Tuple>>]) {
     let reference = digest(text, EvalMode::Naive, ticks);
     for (name, mode) in engine_variants() {
         let got = digest(text, mode, ticks);
-        assert_eq!(
-            reference, got,
-            "{label}: engine {name} diverged from the naive oracle"
-        );
+        for (i, (want, have)) in reference.iter().zip(&got).enumerate() {
+            assert_eq!(
+                want, have,
+                "{label}: engine {name} diverged from the naive oracle on tick {i}"
+            );
+        }
+        assert_eq!(reference.len(), got.len());
     }
 }
 
@@ -120,6 +118,100 @@ fn ad_report_digests_are_engine_independent() {
         BTreeMap::from([("request".to_string(), singles(&[2, 4, 11]))]),
     ];
     assert_all_modes_agree("ad_report", &text, &ticks);
+}
+
+/// The ad-report module as a stream: 25-click ticks, with a request tick
+/// every `every` ticks — the Report replica's real load shape.
+fn ad_report_stream(ticks: usize, every: usize) -> Vec<BTreeMap<String, Vec<Tuple>>> {
+    (0..ticks as i64)
+        .map(|i| {
+            if (i as usize + 1).is_multiple_of(every) {
+                BTreeMap::from([("request".to_string(), singles(&[i % 12, (i + 5) % 12]))])
+            } else {
+                let clicks: Vec<(i64, i64)> = (0..25).map(|j| (j % 12, i * 25 + j)).collect();
+                BTreeMap::from([("click".to_string(), pairs(&clicks))])
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn ad_report_stream_digests_are_engine_independent() {
+    let text = example("ad_report.blz");
+    for every in [2, 5, 9] {
+        let ticks = ad_report_stream(40, every);
+        assert_all_modes_agree(&format!("ad_report stream every {every}"), &text, &ticks);
+    }
+}
+
+#[test]
+fn ad_report_stream_skips_the_view_on_click_only_ticks() {
+    let text = example("ad_report.blz");
+    let ticks = ad_report_stream(60, 10);
+    for (name, mode) in engine_variants().into_iter().skip(1) {
+        let mut inst = ModuleInstance::with_mode(parse_module(&text).unwrap(), mode).unwrap();
+        let mut click_probes = Vec::new();
+        for inp in &ticks {
+            inst.tick(inp.clone()).unwrap();
+            let s = inst.last_tick_stats();
+            if inp.contains_key("click") {
+                assert_eq!(s.rules_skipped, 2, "{name}: view and join skipped");
+                click_probes.push(s.join_probes);
+            } else {
+                assert_eq!(s.rules_skipped, 1, "{name}: only the click rule skipped");
+            }
+        }
+        // The log grows 25 rows a tick; a click-only tick's cost does not.
+        assert!(
+            click_probes.iter().all(|&p| p == 25),
+            "{name}: {click_probes:?}"
+        );
+    }
+}
+
+#[test]
+fn skipped_scratch_feeding_deferred_and_antijoin_rules() {
+    // `s` is read only by a deferred join and an antijoin. It is skipped
+    // on ticks where neither can fire, and must be complete on the ticks
+    // where either does.
+    let text = r#"
+module Feed {
+  input a(x)
+  input req(x)
+  input probe(x)
+  output miss(x)
+  table t(x)
+  table hist(x)
+  scratch s(x)
+  t <= a
+  s <= t where t.x > 2
+  hist <+ (s * req) on (s.x = req.x) -> (s.x)
+  miss <= probe not in s on (probe.x = s.x)
+}
+"#;
+    let tick = |iface: &str, xs: &[i64]| BTreeMap::from([(iface.to_string(), singles(xs))]);
+    let ticks = vec![
+        tick("a", &[1, 2, 3, 4]),
+        tick("a", &[5, 6]),
+        tick("req", &[3, 4, 9]),
+        tick("a", &[7]),
+        tick("probe", &[1, 3, 7, 8]),
+        BTreeMap::new(),
+        BTreeMap::from([
+            ("a".to_string(), singles(&[8])),
+            ("req".to_string(), singles(&[8])),
+            ("probe".to_string(), singles(&[2, 8])),
+        ]),
+        tick("req", &[6]),
+        BTreeMap::new(),
+    ];
+    assert_all_modes_agree("feed", text, &ticks);
+    let mut semi = ModuleInstance::new(parse_module(text).unwrap()).unwrap();
+    semi.tick(ticks[0].clone()).unwrap();
+    assert_eq!(semi.last_tick_stats().rules_skipped, 3, "s, hist, miss");
+    semi.tick(ticks[1].clone()).unwrap();
+    semi.tick(ticks[2].clone()).unwrap();
+    assert_eq!(semi.last_tick_stats().rules_skipped, 2, "t <= a, miss");
 }
 
 #[test]
